@@ -19,7 +19,9 @@
 //! (`fskmc`) runs exact KMC *inside* each window but keys every RNG stream
 //! by `(window, slot, block)`, so window boundaries are clean checkpoint
 //! seams: one session step = one whole window, resumable from
-//! `(lattice, window count)` alone.
+//! `(lattice, window count)` alone. The threaded PNDCA (`Parallel`) uses
+//! the same seam: its streams are keyed by `(step, sweep position, site)`,
+//! so the executor is rebuilt each block at the absolute step count.
 
 use crate::simulator::Algorithm;
 use psr_ca::lpndca::LPndca;
@@ -33,6 +35,7 @@ use psr_dmc::rsm::{Rsm, RunStats, TimeMode};
 use psr_dmc::sim::SimState;
 use psr_lattice::{Dims, Lattice};
 use psr_model::Model;
+use psr_parallel::ParallelPndca;
 use psr_rng::{rng_from_seed, Pcg32, SimRng};
 
 /// Everything needed to continue a [`SimSession`] bit-identically: the
@@ -85,8 +88,8 @@ pub struct SimSession {
     types: Option<TypePartition>,
     /// Prebuilt block decomposition for `Fskmc`.
     split: Option<SplitPlan>,
-    /// Master seed: `Fskmc` derives its counter-keyed streams from it (the
-    /// free-running `rng` below is untouched by that algorithm).
+    /// Master seed: `Fskmc` and `Parallel` derive their counter-keyed
+    /// streams from it (the free-running `rng` below is untouched by them).
     seed: u64,
     state: SimState,
     rng: SimRng,
@@ -100,8 +103,9 @@ impl SimSession {
     ///
     /// # Errors
     ///
-    /// Rejects algorithms that cannot be checkpointed step-wise (VSSM, FRM
-    /// and the threaded executor, which owns per-slice streams).
+    /// Rejects algorithms that cannot be checkpointed step-wise (VSSM,
+    /// FRM), a parallel run with no threads or a partition that violates
+    /// the non-overlap restriction, and bad fskmc block grids or windows.
     pub(crate) fn from_parts(
         model: Model,
         dims: Dims,
@@ -118,6 +122,16 @@ impl SimSession {
                 (Some(partition.build(dims, &model)), None, None)
             }
             Algorithm::TPndca => (None, Some(axis_type_partition(&model, dims)), None),
+            Algorithm::Parallel { partition, threads } => {
+                let p = partition.build(dims, &model);
+                if *threads == 0 || !p.is_valid_for(&model) {
+                    return Err(format!(
+                        "parallel needs threads > 0 and a partition that meets the \
+                         non-overlap restriction (got {threads} threads, {partition} partition)"
+                    ));
+                }
+                (Some(p), None, None)
+            }
             Algorithm::Fskmc { gx, gy, window, .. } => {
                 if !window.is_finite() || *window <= 0.0 {
                     return Err(format!(
@@ -232,6 +246,15 @@ impl SimSession {
                 exec.set_start_window(self.steps_done);
                 exec.run_windows(state, steps, None, hook)
             }
+            Algorithm::Parallel { threads, .. } => {
+                // Counter-keyed streams, like fskmc: rebuilt at the absolute
+                // step, the executor needs nothing but the lattice to resume.
+                // It reports aggregate counts; `hook` sees no trials.
+                let p = self.partition.as_ref().expect("partition prebuilt");
+                let mut exec = ParallelPndca::new(&self.model, p, *threads, self.seed);
+                exec.set_start_step(self.steps_done);
+                exec.run_steps(state, steps, None)
+            }
             other => unreachable!("{other:?} rejected at construction"),
         };
         self.steps_done += steps;
@@ -320,6 +343,10 @@ mod tests {
                 schedule: Schedule::Strang,
                 window: 0.2,
             },
+            Algorithm::Parallel {
+                partition: PartitionSpec::FiveColoring,
+                threads: 2,
+            },
         ]
     }
 
@@ -390,15 +417,7 @@ mod tests {
 
     #[test]
     fn event_driven_algorithms_are_rejected() {
-        for algorithm in [
-            Algorithm::Vssm,
-            Algorithm::VssmTree,
-            Algorithm::Frm,
-            Algorithm::Parallel {
-                partition: PartitionSpec::FiveColoring,
-                threads: 2,
-            },
-        ] {
+        for algorithm in [Algorithm::Vssm, Algorithm::VssmTree, Algorithm::Frm] {
             let err = Simulator::new(zgb_ziff(0.5, 5.0))
                 .dims(Dims::square(20))
                 .algorithm(algorithm)
@@ -433,6 +452,21 @@ mod tests {
             .into_session()
             .unwrap_err();
         assert!(err.contains("window"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn bad_parallel_configurations_are_rejected_at_build() {
+        for (partition, threads) in [
+            (PartitionSpec::Checkerboard, 2),
+            (PartitionSpec::FiveColoring, 0),
+        ] {
+            let err = Simulator::new(zgb_ziff(0.5, 5.0))
+                .dims(Dims::square(20))
+                .algorithm(Algorithm::Parallel { partition, threads })
+                .into_session()
+                .unwrap_err();
+            assert!(err.contains("non-overlap"), "unexpected error: {err}");
+        }
     }
 
     #[test]

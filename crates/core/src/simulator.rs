@@ -117,7 +117,8 @@ pub enum Algorithm {
     },
     /// Type-partitioned NDCA over Ω×T (paper §5, Table II).
     TPndca,
-    /// Threaded PNDCA over a conflict-free partition.
+    /// Threaded PNDCA over a conflict-free partition (in-order chunk
+    /// selection); the trajectory does not depend on `threads`.
     Parallel {
         /// Lattice partition.
         partition: PartitionSpec,
@@ -205,8 +206,8 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Rejects algorithms that cannot be checkpointed step-wise (VSSM, FRM
-    /// and the threaded executor).
+    /// Rejects algorithms that cannot be checkpointed step-wise (VSSM and
+    /// FRM) and configurations the chosen executor cannot run.
     pub fn into_session(self) -> Result<crate::session::SimSession, String> {
         crate::session::SimSession::from_parts(
             self.model,

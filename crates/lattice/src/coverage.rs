@@ -45,6 +45,21 @@ impl Coverage {
         }
     }
 
+    /// Apply net per-state count changes that sum to zero (e.g. one
+    /// parallel step's merged worker deltas).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a count would go negative.
+    pub fn apply_deltas(&mut self, deltas: &[i64]) {
+        debug_assert_eq!(deltas.iter().sum::<i64>(), 0, "deltas must balance");
+        for (count, &d) in self.counts.iter_mut().zip(deltas) {
+            *count = count
+                .checked_add_signed(d as isize)
+                .expect("coverage count went negative");
+        }
+    }
+
     /// Number of sites in `state`.
     pub fn count(&self, state: State) -> usize {
         self.counts[state as usize]

@@ -1,196 +1,71 @@
-//! The threaded PNDCA executor.
+//! The threaded PNDCA entry point.
 //!
 //! One PNDCA step sweeps the chunks of the partition; within a chunk every
-//! site gets one trial. Because same-chunk neighborhoods are disjoint
-//! (partition restriction, verified on construction), the chunk sweep is
-//! embarrassingly parallel: the chunk's site list is split into one slice
-//! per worker and the slices run concurrently over a [`SharedCells`] view
-//! of the lattice. A barrier (the end of the rayon scope) separates chunks,
-//! mirroring the paper's "updates in the same partition can be done
-//! simultaneously".
+//! site gets one trial, and because same-chunk neighborhoods are disjoint
+//! (the partition restriction) those trials can all run at once. The
+//! sharded executor of `psr-shard` is the one implementation of that
+//! semantics: [`ParallelPndca`] runs it with [`ScheduleMode::Threaded`],
+//! one OS thread per lattice domain.
 //!
-//! Determinism: every *trial* gets its own RNG stream, keyed by
-//! `(step, sweep position, site)` and derived from the master seed. Within
-//! one chunk sweep the trials are order-independent (disjoint
-//! neighborhoods) and their draws are keyed by the site, not the executing
-//! thread — so results are a pure function of `(seed, partition)` alone,
-//! regardless of thread count, OS scheduling, or how a sharded executor
-//! splits the same partition across domains (psr-shard pins this with a
-//! differential test).
+//! Determinism: every trial draws from a stream keyed by
+//! `(step, sweep position, site)` — never by thread or domain — so results
+//! are a pure function of `(seed, partition)` alone. The thread count only
+//! picks the domain grid, never the trajectory.
 
-use rayon::prelude::*;
-
-use crate::shared::{Claim, ClaimTable, SharedCells};
 use psr_ca::partition::Partition;
 use psr_ca::pndca::ChunkSelection;
-use psr_ca::propensity::{draw_weighted, ChunkPropensityCache};
 use psr_dmc::recorder::Recorder;
 use psr_dmc::rsm::RunStats;
 use psr_dmc::sim::SimState;
-use psr_lattice::{Change, Site};
-use psr_model::{Model, ReactionType};
-use psr_rng::{AliasTable, Pcg32, StreamFactory};
-
-/// Outcome of one slice sweep.
-struct SliceOutcome {
-    trials: u64,
-    executed: u64,
-    /// Net coverage change per species id.
-    deltas: Vec<i64>,
-    conflicts: u64,
-    /// Journal of `(site, old, new)` writes, recorded only when the step
-    /// needs them (weighted selection feeds them to the propensity cache at
-    /// the chunk barrier); empty otherwise.
-    changes: Vec<Change>,
-}
+use psr_lattice::Dims;
+use psr_model::Model;
+use psr_shard::{ScheduleMode, ShardGrid, ShardedPndca};
 
 /// Threaded PNDCA over a conflict-free partition.
 pub struct ParallelPndca<'m, 'p> {
-    model: &'m Model,
-    partition: &'p Partition,
-    pool: rayon::ThreadPool,
-    threads: usize,
-    alias: AliasTable,
-    factory: StreamFactory,
-    checked: bool,
-    claims: Option<ClaimTable>,
-    step: u64,
-    conflicts: u64,
-    selection: ChunkSelection,
-    /// Incremental chunk weights for `WeightedByRates`, built lazily.
-    cache: Option<ChunkPropensityCache>,
+    exec: ShardedPndca<'m, 'p>,
 }
 
 impl<'m, 'p> ParallelPndca<'m, 'p> {
-    /// Build an executor with `threads` workers.
+    /// Build an executor with up to `threads` workers: the largest worker
+    /// count `≤ threads` whose grid tiles the lattice, or a single worker
+    /// if none does.
     ///
     /// # Panics
     ///
-    /// Panics if the partition violates the non-overlap restriction for
-    /// `model` (this is the safety precondition of the unsafe shared-memory
-    /// sweep, so it is enforced in all build profiles), if `threads == 0`,
-    /// or if the rayon pool cannot be created.
+    /// Panics if `threads == 0`, if the partition violates the non-overlap
+    /// restriction for `model`, if the lattice is too small for even one
+    /// halo-padded domain, or if the model cannot be kernel-compiled.
     pub fn new(model: &'m Model, partition: &'p Partition, threads: usize, seed: u64) -> Self {
         assert!(threads > 0, "need at least one thread");
-        assert!(
-            partition.is_valid_for(model),
-            "partition violates the non-overlap restriction; \
-             parallel execution would race"
-        );
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("failed to build thread pool");
+        let grid = grid_for(threads, partition.dims(), model.interaction_radius());
         ParallelPndca {
-            model,
-            partition,
-            pool,
-            threads,
-            alias: AliasTable::new(&model.rate_weights()),
-            factory: StreamFactory::new(seed),
-            checked: false,
-            claims: None,
-            step: 0,
-            conflicts: 0,
-            selection: ChunkSelection::InOrder,
-            cache: None,
+            exec: ShardedPndca::new(model, partition, grid, seed).with_mode(ScheduleMode::Threaded),
         }
-    }
-
-    /// Build an executor that *skips* the partition validation — only for
-    /// failure-injection tests of the claim table.
-    ///
-    /// # Safety
-    ///
-    /// Running an invalid partition unchecked is a data race; callers must
-    /// enable checked mode and treat the lattice as poisoned afterwards.
-    pub unsafe fn new_unvalidated(
-        model: &'m Model,
-        partition: &'p Partition,
-        threads: usize,
-        seed: u64,
-    ) -> Self {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("failed to build thread pool");
-        ParallelPndca {
-            model,
-            partition,
-            pool,
-            threads,
-            alias: AliasTable::new(&model.rate_weights()),
-            factory: StreamFactory::new(seed),
-            checked: false,
-            claims: None,
-            step: 0,
-            conflicts: 0,
-            selection: ChunkSelection::InOrder,
-            cache: None,
-        }
-    }
-
-    /// Enable the atomic claim table that dynamically verifies neighborhood
-    /// disjointness (slower; for tests and debugging).
-    pub fn with_conflict_checking(mut self, lattice_sites: usize) -> Self {
-        self.checked = true;
-        self.claims = Some(ClaimTable::new(lattice_sites));
-        self
-    }
-
-    /// Shuffle chunk order each step (PNDCA strategy 2) instead of sweeping
-    /// in order. Shorthand for
-    /// [`with_selection`](Self::with_selection)`(ChunkSelection::RandomOrder)`.
-    pub fn with_random_chunk_order(mut self, yes: bool) -> Self {
-        self.selection = if yes {
-            ChunkSelection::RandomOrder
-        } else {
-            ChunkSelection::InOrder
-        };
-        self
     }
 
     /// Select any of the four §5 chunk-selection strategies. Every strategy
     /// keeps the executor deterministic: the chunk sequence is driven by
     /// dedicated per-step RNG streams and the trial streams are keyed by
-    /// sweep *position* and site, so results remain a pure function of
-    /// `(seed, partition)` even when weighted selection repeats a chunk
-    /// within one step.
+    /// sweep *position* and site.
     pub fn with_selection(mut self, selection: ChunkSelection) -> Self {
-        self.selection = selection;
+        self.exec = self.exec.with_selection(selection);
         self
     }
 
-    /// Conflicts detected by the claim table so far (0 unless the partition
-    /// was invalid and validation was bypassed).
-    pub fn conflicts_detected(&self) -> u64 {
-        self.conflicts
+    /// Continue a run at absolute step `step` (checkpoint resume).
+    pub fn set_start_step(&mut self, step: u64) {
+        self.exec.set_start_step(step);
     }
 
-    /// Number of worker threads.
+    /// Number of worker threads actually used.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.exec.grid().workers() as usize
     }
 
     /// Completed steps.
     pub fn steps_done(&self) -> u64 {
-        self.step
-    }
-
-    /// Build (or refresh) the propensity cache for the current lattice.
-    fn take_fresh_cache(&mut self, state: &SimState) -> ChunkPropensityCache {
-        let mut cache = self.cache.take().unwrap_or_else(|| {
-            let mut c = ChunkPropensityCache::new(self.model, self.partition, &state.lattice);
-            c.note_epoch(state.mutation_epoch());
-            c
-        });
-        cache.ensure_fresh(
-            self.model,
-            self.partition,
-            &state.lattice,
-            state.mutation_epoch(),
-        );
-        cache
+        self.exec.steps_done()
     }
 
     /// Run `steps` parallel PNDCA steps.
@@ -198,355 +73,45 @@ impl<'m, 'p> ParallelPndca<'m, 'p> {
         &mut self,
         state: &mut SimState,
         steps: u64,
-        mut recorder: Option<&mut Recorder>,
+        recorder: Option<&mut Recorder>,
     ) -> RunStats {
-        let mut stats = RunStats::default();
-        let num_species = self.model.species().len();
-        let k_total = self.model.total_rate();
-        if let Some(rec) = recorder.as_deref_mut() {
-            rec.record(state.time, &state.coverage);
-        }
-        for _ in 0..steps {
-            let m = self.partition.num_chunks();
-            match self.selection {
-                ChunkSelection::InOrder
-                | ChunkSelection::RandomOrder
-                | ChunkSelection::RandomWithReplacement => {
-                    let order: Vec<usize> = match self.selection {
-                        ChunkSelection::InOrder => (0..m).collect(),
-                        ChunkSelection::RandomOrder => {
-                            let mut order: Vec<usize> = (0..m).collect();
-                            let mut rng = self.factory.stream(shuffle_stream_id(self.step));
-                            psr_rng::sample::shuffle(&mut rng, &mut order);
-                            order
-                        }
-                        _ => {
-                            let mut rng = self.factory.stream(draw_stream_id(self.step));
-                            (0..m).map(|_| rng.index(m)).collect()
-                        }
-                    };
-                    for (position, &chunk_idx) in order.iter().enumerate() {
-                        let outcome = self.sweep_chunk_parallel(
-                            state,
-                            chunk_idx,
-                            position,
-                            num_species,
-                            false,
-                        );
-                        stats.trials += outcome.trials;
-                        stats.executed += outcome.executed;
-                        self.conflicts += outcome.conflicts;
-                        apply_coverage_deltas(&mut state.coverage, &outcome.deltas);
-                        if let Some(claims) = &self.claims {
-                            claims.clear();
-                        }
-                    }
-                }
-                ChunkSelection::WeightedByRates => {
-                    // The next draw depends on the weights after the
-                    // previous sweep, so draws interleave with the chunk
-                    // barriers: draw → threaded sweep → merge the slices'
-                    // change journals into the cache against the quiescent
-                    // lattice → next draw.
-                    let mut cache = self.take_fresh_cache(state);
-                    let mut draw_rng = self.factory.stream(draw_stream_id(self.step));
-                    let mut weights = Vec::with_capacity(m);
-                    for position in 0..m {
-                        cache.weights_into(&mut weights);
-                        let chunk_idx = draw_weighted(&mut draw_rng, &weights);
-                        let outcome = self.sweep_chunk_parallel(
-                            state,
-                            chunk_idx,
-                            position,
-                            num_species,
-                            true,
-                        );
-                        stats.trials += outcome.trials;
-                        stats.executed += outcome.executed;
-                        self.conflicts += outcome.conflicts;
-                        apply_coverage_deltas(&mut state.coverage, &outcome.deltas);
-                        cache.apply_changes(
-                            self.model,
-                            self.partition,
-                            &state.lattice,
-                            &outcome.changes,
-                        );
-                        state.bump_mutations();
-                        cache.note_epoch(state.mutation_epoch());
-                        if let Some(claims) = &self.claims {
-                            claims.clear();
-                        }
-                    }
-                    #[cfg(debug_assertions)]
-                    cache.assert_matches_scan(self.model, self.partition, &state.lattice);
-                    self.cache = Some(cache);
-                }
-            }
-            // Discretised time: one step = N trials of 1/(N·K) each = 1/K,
-            // applied once per step (no float accumulation across trials).
-            state.time += 1.0 / k_total;
-            self.step += 1;
-            if let Some(rec) = recorder.as_deref_mut() {
-                rec.record(state.time, &state.coverage);
-            }
-        }
-        stats
-    }
-
-    fn sweep_chunk_parallel(
-        &self,
-        state: &mut SimState,
-        chunk_idx: usize,
-        position: usize,
-        num_species: usize,
-        journal: bool,
-    ) -> SliceOutcome {
-        let chunk = self.partition.chunk(chunk_idx);
-        let slice_len = chunk.len().div_ceil(self.threads);
-        let slices: Vec<&[Site]> = chunk.chunks(slice_len.max(1)).collect();
-        let shared = SharedCells::new(state.lattice.cells_mut(), self.partition.dims());
-        let model = self.model;
-        let alias = &self.alias;
-        let claims = self.claims.as_ref();
-        let checked = self.checked;
-        // Keyed by sweep *position*, not chunk id: weighted selection and
-        // with-replacement draws can sweep the same chunk twice in a step,
-        // and each sweep must consume fresh streams.
-        let base_stream = trial_stream_base(
-            self.step,
-            self.partition.num_chunks(),
-            position,
-            self.partition.num_sites(),
-        );
-        let factory = &self.factory;
-        let shared_ref = &shared;
-
-        let outcomes: Vec<SliceOutcome> = self.pool.install(|| {
-            slices
-                .par_iter()
-                .map(|sites| {
-                    sweep_slice(
-                        model,
-                        alias,
-                        shared_ref,
-                        sites,
-                        factory,
-                        base_stream,
-                        num_species,
-                        if checked { claims } else { None },
-                        journal,
-                    )
-                })
-                .collect()
-        });
-
-        let mut total = SliceOutcome {
-            trials: 0,
-            executed: 0,
-            deltas: vec![0; num_species],
-            conflicts: 0,
-            changes: Vec::new(),
-        };
-        for o in outcomes {
-            total.trials += o.trials;
-            total.executed += o.executed;
-            total.conflicts += o.conflicts;
-            for (d, od) in total.deltas.iter_mut().zip(&o.deltas) {
-                *d += od;
-            }
-            total.changes.extend(o.changes);
-        }
-        total
+        self.exec.run_steps(state, steps, recorder)
     }
 }
 
-/// Stream id for the chunk-order shuffle of a step (the high bit keeps it
-/// disjoint from the trial streams, which grow from 1).
-pub fn shuffle_stream_id(step: u64) -> u64 {
-    0x8000_0000_0000_0000 | step
-}
-
-/// Stream id for the per-step chunk draws (weighted or with-replacement);
-/// bits 63..62 keep it disjoint from both the shuffle and trial streams.
-pub fn draw_stream_id(step: u64) -> u64 {
-    0xC000_0000_0000_0000 | step
-}
-
-/// First trial stream id of one chunk sweep: the trial at global `site`
-/// during sweep `position` of `step` draws from stream `base + site.0`.
-///
-/// Keying by `(step, position, site)` — never by thread or domain — is the
-/// determinism contract shared with the sharded executor: any executor
-/// sweeping the same `(seed, partition)` consumes identical randomness per
-/// site and therefore produces identical trajectories.
-pub fn trial_stream_base(step: u64, num_chunks: usize, position: usize, num_sites: usize) -> u64 {
-    1 + (step * num_chunks as u64 + position as u64) * num_sites as u64
-}
-
-/// Apply a net coverage delta vector (summing to zero) as transitions.
-pub fn apply_coverage_deltas(coverage: &mut psr_lattice::Coverage, deltas: &[i64]) {
-    debug_assert_eq!(deltas.iter().sum::<i64>(), 0, "deltas must balance");
-    let mut gains: Vec<(u8, i64)> = Vec::new();
-    let mut losses: Vec<(u8, i64)> = Vec::new();
-    for (species, &d) in deltas.iter().enumerate() {
-        if d > 0 {
-            gains.push((species as u8, d));
-        } else if d < 0 {
-            losses.push((species as u8, -d));
-        }
-    }
-    let (mut gi, mut li) = (0, 0);
-    while gi < gains.len() && li < losses.len() {
-        let moved = gains[gi].1.min(losses[li].1);
-        for _ in 0..moved {
-            coverage.transition(losses[li].0, gains[gi].0);
-        }
-        gains[gi].1 -= moved;
-        losses[li].1 -= moved;
-        if gains[gi].1 == 0 {
-            gi += 1;
-        }
-        if losses[li].1 == 0 {
-            li += 1;
-        }
-    }
-}
-
-/// One slice sweep: one trial per site against the shared lattice, each
-/// trial on its own site-keyed stream.
-#[allow(clippy::too_many_arguments)]
-fn sweep_slice(
-    model: &Model,
-    alias: &AliasTable,
-    shared: &SharedCells<'_>,
-    sites: &[Site],
-    factory: &StreamFactory,
-    base_stream: u64,
-    num_species: usize,
-    claims: Option<&ClaimTable>,
-    journal: bool,
-) -> SliceOutcome {
-    let dims = shared.dims();
-    let mut outcome = SliceOutcome {
-        trials: 0,
-        executed: 0,
-        deltas: vec![0; num_species],
-        conflicts: 0,
-        changes: Vec::new(),
-    };
-    for &site in sites {
-        let mut rng: Pcg32 = factory.stream(base_stream + site.0 as u64);
-        let reaction = alias.sample(&mut rng);
-        let rt: &ReactionType = model.reaction(reaction);
-        outcome.trials += 1;
-
-        if let Some(table) = claims {
-            let mut ok = true;
-            for t in rt.transforms() {
-                let target = dims.translate(site, t.offset);
-                if let Claim::Conflict { .. } = table.claim(target, site) {
-                    outcome.conflicts += 1;
-                    ok = false;
-                }
-            }
-            if !ok {
-                continue;
-            }
-        }
-
-        // SAFETY: `site` belongs to the chunk being swept and no other
-        // concurrent slice holds a site whose neighborhood intersects
-        // Nb(site) — guaranteed by the partition validation in
-        // `ParallelPndca::new` (or detected by the claim table above when
-        // validation was bypassed).
-        unsafe {
-            let enabled = rt
-                .transforms()
-                .iter()
-                .all(|t| shared.get(dims.translate(site, t.offset)) == t.src.id());
-            if enabled {
-                for t in rt.transforms() {
-                    let target = dims.translate(site, t.offset);
-                    let old = shared.set(target, t.tgt.id());
-                    outcome.deltas[old as usize] -= 1;
-                    outcome.deltas[t.tgt.id() as usize] += 1;
-                    if journal {
-                        outcome.changes.push((target, old, t.tgt.id()));
-                    }
-                }
-                outcome.executed += 1;
-            }
-        }
-    }
-    outcome
+/// The squarest grid of the largest worker count `≤ threads` that tiles
+/// `dims` with domains wider than `2 · radius`; 1×1 when none does.
+fn grid_for(threads: usize, dims: Dims, radius: u32) -> ShardGrid {
+    (1..=threads as u32)
+        .rev()
+        .find_map(|workers| {
+            (1..=workers)
+                .filter(|gy| workers.is_multiple_of(*gy))
+                .map(|gy| ShardGrid::new(workers / gy, gy))
+                .filter(|grid| grid.check(dims, radius).is_ok())
+                .min_by_key(|grid| grid.gx().abs_diff(grid.gy()))
+        })
+        .unwrap_or(ShardGrid::new(1, 1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use psr_ca::partition_builder::{checkerboard, five_coloring};
-    use psr_lattice::{Dims, Lattice};
+    use psr_lattice::Lattice;
     use psr_model::library::zgb::zgb_ziff;
-    use psr_model::ModelBuilder;
-
-    fn diluted_adsorption() -> Model {
-        ModelBuilder::new(&["*", "A"])
-            .reaction("ads", 1.0, |r| {
-                r.site((0, 0), "*", "A");
-            })
-            .reaction("null", 99.0, |r| {
-                r.site((0, 0), "*", "*");
-            })
-            .build()
-    }
-
-    #[test]
-    fn parallel_langmuir_matches_analytic() {
-        let model = diluted_adsorption();
-        let d = Dims::square(50);
-        let p = five_coloring(d);
-        let mut exec = ParallelPndca::new(&model, &p, 2, 42);
-        let mut state = SimState::new(Lattice::filled(d, 0), &model);
-        // K = 100, one step = 0.01 time units; 100 steps → t = 1.
-        exec.run_steps(&mut state, 100, None);
-        let theta = state.coverage.fraction(1);
-        let expected = 1.0 - (-1.0f64).exp();
-        assert!(
-            (theta - expected).abs() < 0.03,
-            "parallel coverage {theta} vs analytic {expected}"
-        );
-        assert!(state.coverage.matches(&state.lattice));
-        assert!((state.time - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn deterministic_for_fixed_seed_and_threads() {
-        let model = zgb_ziff(0.5, 3.0);
-        let d = Dims::square(20);
-        let p = five_coloring(d);
-        let run = |seed: u64| {
-            let mut exec = ParallelPndca::new(&model, &p, 3, seed);
-            let mut state = SimState::new(Lattice::filled(d, 0), &model);
-            exec.run_steps(&mut state, 10, None);
-            state.lattice
-        };
-        assert_eq!(run(7), run(7));
-        assert_ne!(run(7), run(8));
-    }
 
     #[test]
     fn trajectories_invariant_of_thread_count() {
-        // Trial streams are keyed by (step, position, site), so the thread
-        // count changes only the work split, never the trajectory — the
-        // same contract the sharded executor relies on.
         let model = zgb_ziff(0.5, 3.0);
         let d = Dims::square(20);
         let p = five_coloring(d);
         let run = |threads: usize, selection: ChunkSelection| {
             let mut exec = ParallelPndca::new(&model, &p, threads, 13).with_selection(selection);
             let mut state = SimState::new(Lattice::filled(d, 0), &model);
-            exec.run_steps(&mut state, 12, None);
-            state.lattice
+            let stats = exec.run_steps(&mut state, 12, None);
+            assert!(state.coverage.matches(&state.lattice));
+            (state.lattice, stats)
         };
         for selection in [
             ChunkSelection::InOrder,
@@ -555,6 +120,7 @@ mod tests {
             ChunkSelection::WeightedByRates,
         ] {
             let reference = run(1, selection);
+            assert_eq!(reference.1.trials, 12 * 400, "{selection:?}");
             for threads in [2, 3, 8] {
                 assert_eq!(run(threads, selection), reference, "{selection:?}");
             }
@@ -562,49 +128,20 @@ mod tests {
     }
 
     #[test]
-    fn trials_count_is_n_per_step() {
-        let model = zgb_ziff(0.5, 2.0);
-        let d = Dims::square(10);
-        let p = five_coloring(d);
-        let mut exec = ParallelPndca::new(&model, &p, 4, 1);
-        let mut state = SimState::new(Lattice::filled(d, 0), &model);
-        let stats = exec.run_steps(&mut state, 5, None);
-        assert_eq!(stats.trials, 500);
-        assert_eq!(exec.steps_done(), 5);
-    }
-
-    #[test]
-    fn valid_partition_never_conflicts_under_checking() {
-        let model = zgb_ziff(0.5, 3.0);
-        let d = Dims::square(20);
-        let p = five_coloring(d);
-        let mut exec =
-            ParallelPndca::new(&model, &p, 4, 11).with_conflict_checking(d.sites() as usize);
-        let mut state = SimState::new(Lattice::filled(d, 0), &model);
-        exec.run_steps(&mut state, 20, None);
-        assert_eq!(exec.conflicts_detected(), 0);
-        assert!(state.coverage.matches(&state.lattice));
-    }
-
-    #[test]
-    fn failure_injection_invalid_partition_is_caught() {
-        // The checkerboard violates the restriction for ZGB's pair
-        // reactions: adjacent anchors share pattern sites. The claim table
-        // must detect this.
-        let model = zgb_ziff(0.5, 3.0);
-        let d = Dims::square(20);
-        let p = checkerboard(d);
-        assert!(!p.is_valid_for(&model));
-        // SAFETY: checked mode skips every trial whose claims conflict, so
-        // no overlapping unsafe access actually happens.
-        let mut exec = unsafe { ParallelPndca::new_unvalidated(&model, &p, 4, 5) }
-            .with_conflict_checking(d.sites() as usize);
-        let mut state = SimState::new(Lattice::filled(d, 0), &model);
-        exec.run_steps(&mut state, 20, None);
-        assert!(
-            exec.conflicts_detected() > 0,
-            "claim table failed to detect the injected partition violation"
-        );
+    fn grid_is_the_largest_tiling_worker_count() {
+        let grid = |threads, side| {
+            let g = grid_for(threads, Dims::square(side), 1);
+            (g.gx(), g.gy())
+        };
+        assert_eq!(grid(1, 20), (1, 1));
+        assert_eq!(grid(2, 20), (2, 1));
+        assert_eq!(grid(3, 20), (2, 1));
+        assert_eq!(grid(4, 20), (2, 2));
+        // 7 does not divide 20; 6 = 3×2 does not either; 5×1 does.
+        assert_eq!(grid(7, 20), (5, 1));
+        // Domains must stay wider than 2r = 2: a 5-wide lattice cannot be
+        // split at all.
+        assert_eq!(grid(8, 5), (1, 1));
     }
 
     #[test]
@@ -617,87 +154,12 @@ mod tests {
     }
 
     #[test]
-    fn random_chunk_order_still_consistent() {
-        let model = zgb_ziff(0.4, 2.0);
-        let d = Dims::square(15);
-        let p = five_coloring(d);
-        let mut exec = ParallelPndca::new(&model, &p, 2, 3).with_random_chunk_order(true);
-        let mut state = SimState::new(Lattice::filled(d, 0), &model);
-        exec.run_steps(&mut state, 10, None);
-        assert!(state.coverage.matches(&state.lattice));
-    }
-
-    #[test]
-    fn weighted_selection_deterministic_and_consistent() {
-        // WeightedByRates results must stay a pure function of
-        // (seed, partition, threads); the debug-build assert_matches_scan
-        // inside run_steps verifies the barrier-merged cache as well.
-        let model = zgb_ziff(0.5, 3.0);
-        let d = Dims::square(20);
-        let p = five_coloring(d);
-        let run = |seed: u64| {
-            let mut exec = ParallelPndca::new(&model, &p, 3, seed)
-                .with_selection(ChunkSelection::WeightedByRates);
-            let mut state = SimState::new(Lattice::filled(d, 0), &model);
-            let stats = exec.run_steps(&mut state, 10, None);
-            // |P| = 5 weighted sweeps of one 80-site chunk per step.
-            assert_eq!(stats.trials, 10 * 400);
-            assert!(state.coverage.matches(&state.lattice));
-            state.lattice
-        };
-        assert_eq!(run(7), run(7));
-        assert_ne!(run(7), run(8));
-    }
-
-    #[test]
-    fn weighted_selection_thread_count_changes_streams_not_safety() {
-        let model = zgb_ziff(0.5, 3.0);
-        let d = Dims::square(20);
-        let p = five_coloring(d);
-        for threads in [1, 2, 4] {
-            let mut exec = ParallelPndca::new(&model, &p, threads, 5)
-                .with_selection(ChunkSelection::WeightedByRates)
-                .with_conflict_checking(d.sites() as usize);
-            let mut state = SimState::new(Lattice::filled(d, 0), &model);
-            exec.run_steps(&mut state, 8, None);
-            assert_eq!(exec.conflicts_detected(), 0);
-            assert!(state.coverage.matches(&state.lattice));
-        }
-    }
-
-    #[test]
-    fn single_thread_executor_works() {
-        let model = zgb_ziff(0.5, 2.0);
-        let d = Dims::square(10);
-        let p = five_coloring(d);
-        let mut exec = ParallelPndca::new(&model, &p, 1, 9);
-        let mut state = SimState::new(Lattice::filled(d, 0), &model);
-        let stats = exec.run_steps(&mut state, 3, None);
-        assert_eq!(stats.trials, 300);
-        assert!(state.coverage.matches(&state.lattice));
-    }
-
-    #[test]
-    fn recorder_receives_step_samples() {
-        let model = diluted_adsorption();
-        let d = Dims::square(20);
-        let p = five_coloring(d);
-        let mut exec = ParallelPndca::new(&model, &p, 2, 21);
-        let mut state = SimState::new(Lattice::filled(d, 0), &model);
-        let mut rec = psr_dmc::recorder::Recorder::new(2, 0.05);
-        exec.run_steps(&mut state, 10, Some(&mut rec));
-        // K = 100 → one step = 0.01; grid 0.05 hits every 5th step.
-        assert_eq!(rec.series(0).len(), 3); // t = 0, 0.05, 0.10
-    }
-
-    #[test]
-    fn more_threads_than_chunk_sites_is_fine() {
-        // 5x5 lattice: chunks of 5 sites, 8 threads — slices degenerate
-        // to one site each and the executor must still be correct.
+    fn more_threads_than_the_lattice_tiles_is_fine() {
         let model = zgb_ziff(0.5, 2.0);
         let d = Dims::square(5);
         let p = five_coloring(d);
         let mut exec = ParallelPndca::new(&model, &p, 8, 2);
+        assert_eq!(exec.threads(), 1);
         let mut state = SimState::new(Lattice::filled(d, 0), &model);
         let stats = exec.run_steps(&mut state, 4, None);
         assert_eq!(stats.trials, 100);

@@ -2,22 +2,20 @@
 //!
 //! The point of the paper's partitions: all sites of a chunk can be updated
 //! *simultaneously* because their reaction neighborhoods are disjoint. This
-//! crate turns that property into actual parallelism:
+//! crate turns that property into actual parallelism and measures it:
 //!
-//! - [`shared`] — a `Sync` view of the lattice cells whose safety contract
-//!   is exactly the partition non-overlap restriction, plus an atomic claim
-//!   table that *verifies* the contract at runtime in checked mode;
-//! - [`executor`] — a threaded PNDCA: each chunk's sweep is split into
-//!   slices executed concurrently on a rayon pool, with per-slice
-//!   deterministic RNG streams;
+//! - [`executor`] — a threaded PNDCA: the entry point onto `psr-shard`'s
+//!   share-nothing sharded executor, one worker thread per lattice domain,
+//!   with counter-keyed RNG streams;
 //! - [`machine`] — an analytical parallel-machine model `T(p, N)` calibrated
-//!   against the sequential executor, used to regenerate the paper's Fig 7
+//!   against the executor, used to regenerate the paper's Fig 7
 //!   speedup surface on hardware with fewer cores than the 2003 testbed
 //!   (see DESIGN.md, substitution 1);
 //! - [`segers`] — the domain-decomposition baseline the paper contrasts
 //!   against (§3): block-parallel RSM with an interior/boundary split and
 //!   explicit accounting of the communication the block boundaries force;
-//! - [`speedup`] — wall-clock measurement harness `T(1,N)/T(p,N)`.
+//! - [`speedup`] — wall-clock measurement harness `T(1,N)/T(p,N)`;
+//! - [`ensemble`] — independent replicas run concurrently on a rayon pool.
 
 #![warn(missing_docs)]
 
@@ -25,15 +23,10 @@ pub mod ensemble;
 pub mod executor;
 pub mod machine;
 pub mod segers;
-pub mod shared;
 pub mod speedup;
-pub mod tpndca_parallel;
 
 pub use ensemble::{run_ensemble, run_replicas, EnsembleSeries};
-pub use executor::{
-    apply_coverage_deltas, draw_stream_id, shuffle_stream_id, trial_stream_base, ParallelPndca,
-};
+pub use executor::ParallelPndca;
 pub use machine::{MachineParams, SimulatedMachine};
-pub use segers::{CommStats, SegersDecomposition};
+pub use segers::SegersDecomposition;
 pub use speedup::{measure_speedup, SpeedupRow};
-pub use tpndca_parallel::ParallelTPndca;

@@ -64,7 +64,7 @@ fn algorithm_canonical(algorithm: &Algorithm) -> String {
             l,
             visit,
         } => format!("lpndca {partition} {l} {visit}"),
-        other => unreachable!("{other:?} is rejected by parse_algorithm"),
+        other => unreachable!("{other:?} is rejected by JobRequest::parse"),
     }
 }
 
@@ -101,7 +101,13 @@ impl JobRequest {
             let err = |e: String| format!("line {lineno}: {e}");
             match key {
                 "model" => model = Some(ModelSpec::parse(value).map_err(err)?),
-                "algorithm" => algorithm = Some(parse_algorithm(value).map_err(err)?),
+                "algorithm" => match parse_algorithm(value).map_err(err)? {
+                    // A submission has no splitting keys to canonicalise.
+                    Algorithm::Fskmc { .. } => {
+                        return Err(err("algorithm fskmc is not served".to_owned()))
+                    }
+                    alg => algorithm = Some(alg),
+                },
                 "side" => side = Some(value.parse().map_err(|e| err(format!("side: {e}")))?),
                 "seed" => seed = value.parse().map_err(|e| err(format!("seed: {e}")))?,
                 "steps" => steps = Some(value.parse().map_err(|e| err(format!("steps: {e}")))?),

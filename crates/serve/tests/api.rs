@@ -227,6 +227,21 @@ fn bad_submissions_get_400_with_line_numbers() {
         "error must cite the offending line: {}",
         resp.text()
     );
+    // fskmc parses as an engine algorithm but is not served.
+    let resp = client::post(
+        &addr,
+        "/v1/jobs",
+        &[],
+        b"model = zgb 0.5 5\nalgorithm = fskmc\nside = 10\nsteps = 5",
+        T,
+    )
+    .expect("submit");
+    assert_eq!(resp.status, 400);
+    assert!(
+        resp.text().contains("line 2") && resp.text().contains("fskmc"),
+        "{}",
+        resp.text()
+    );
     // Oversized work is rejected up front.
     let resp =
         client::post(&addr, "/v1/jobs", &[], spec(1, 100_000_000).as_bytes(), T).expect("submit");

@@ -17,14 +17,13 @@
 //!   one sweep, non-adjacent ones further, and the hub re-orders reports
 //!   by step.
 //!
-//! Both schedulers produce bit-identical trajectories — nothing random
-//! depends on scheduling — and both match the shared-lattice
-//! [`ParallelPndca`](psr_parallel::ParallelPndca) on the same
-//! `(seed, partition)`, which `tests/differential.rs` pins across grids
-//! and all four chunk-selection strategies.
+//! All schedulers produce bit-identical trajectories — nothing random
+//! depends on scheduling — and all match a sequential counter-keyed PNDCA
+//! on the same `(seed, partition)`, which `tests/differential.rs` pins
+//! across grids and all four chunk-selection strategies.
 
 use crate::domain::ShardGrid;
-use crate::frame::{self, StepReport, KIND_GATHER, KIND_REPORT};
+use crate::frame::{self, CommStats, StepReport, KIND_GATHER, KIND_REPORT};
 use crate::net::{self, Wire};
 use crate::worker::Worker;
 use psr_ca::partition::Partition;
@@ -34,7 +33,6 @@ use psr_dmc::rsm::RunStats;
 use psr_dmc::sim::SimState;
 use psr_kernel::CompiledModel;
 use psr_model::Model;
-use psr_parallel::{apply_coverage_deltas, CommStats};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -78,11 +76,10 @@ impl<'m, 'p> ShardedPndca<'m, 'p> {
     /// # Panics
     ///
     /// Panics if the partition violates the non-overlap restriction for
-    /// `model` (the same precondition as the shared-lattice executor: it
-    /// is what makes one sweep's write sets globally disjoint, which the
-    /// write-back protocol relies on), if the grid does not evenly tile
-    /// the lattice with domains larger than twice the interaction radius,
-    /// or if the model cannot be kernel-compiled.
+    /// `model` (it is what makes one sweep's write sets globally disjoint,
+    /// which the write-back protocol relies on), if the grid does not
+    /// evenly tile the lattice with domains larger than twice the
+    /// interaction radius, or if the model cannot be kernel-compiled.
     pub fn new(model: &'m Model, partition: &'p Partition, grid: ShardGrid, seed: u64) -> Self {
         assert!(
             partition.is_valid_for(model),
@@ -274,9 +271,8 @@ impl<'m, 'p> ShardedPndca<'m, 'p> {
             self.comm += rep.comm;
         }
         // Workers' own vectors need not balance (boundary reactions split
-        // across owners); only the shard-wide sum does, which is what
-        // apply_coverage_deltas requires.
-        apply_coverage_deltas(&mut state.coverage, &deltas);
+        // across owners); only the shard-wide sum does.
+        state.coverage.apply_deltas(&deltas);
         state.time += 1.0 / self.model.total_rate();
         if let Some(rec) = recorder.as_deref_mut() {
             rec.record(state.time, &state.coverage);

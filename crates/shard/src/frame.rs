@@ -18,7 +18,57 @@
 //! unambiguous: on a 2×1 grid the same peer is both the east and the west
 //! neighbor, but its two frames per sweep carry different `dir` stamps.
 
-use psr_parallel::CommStats;
+/// Communication statistics of a domain-decomposed run.
+///
+/// The Segers baseline fills only the *modeled* trial counters (it runs
+/// sequentially and counts the exchanges a block decomposition would
+/// force). The sharded executor fills every field with *measured* values:
+/// every halo/write-back frame that crosses a worker boundary is counted
+/// with its encoded byte size.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CommStats {
+    /// Trials anchored strictly inside a block (no communication).
+    pub local_trials: u64,
+    /// Trials in a boundary strip (would require a halo exchange).
+    pub boundary_trials: u64,
+    /// Frames actually sent between distinct workers (0 when modeled).
+    pub halo_messages: u64,
+    /// Encoded bytes of those frames, headers included (0 when modeled).
+    pub halo_bytes: u64,
+    /// Frames that crossed a real socket (0 for in-process transports).
+    pub wire_frames: u64,
+    /// Bytes written to sockets, frame headers included.
+    pub wire_bytes: u64,
+    /// Socket flushes that carried more than one frame (coalescing wins).
+    pub wire_batches: u64,
+    /// Socket flushes: one buffered write per (peer, phase) with data.
+    pub wire_flushes: u64,
+}
+
+impl CommStats {
+    /// Fraction of trials requiring communication.
+    pub fn boundary_fraction(&self) -> f64 {
+        let total = self.local_trials + self.boundary_trials;
+        if total == 0 {
+            0.0
+        } else {
+            self.boundary_trials as f64 / total as f64
+        }
+    }
+}
+
+impl std::ops::AddAssign for CommStats {
+    fn add_assign(&mut self, rhs: Self) {
+        self.local_trials += rhs.local_trials;
+        self.boundary_trials += rhs.boundary_trials;
+        self.halo_messages += rhs.halo_messages;
+        self.halo_bytes += rhs.halo_bytes;
+        self.wire_frames += rhs.wire_frames;
+        self.wire_bytes += rhs.wire_bytes;
+        self.wire_batches += rhs.wire_batches;
+        self.wire_flushes += rhs.wire_flushes;
+    }
+}
 
 /// Halo strip: the sender's post-sweep owned border, row-major cell states.
 pub const KIND_HALO: u8 = 0;

@@ -23,13 +23,12 @@
 use super::config::{decode_peers, RunConfig};
 use super::{read_frame, write_frame, BusyClock, Conn, Listener, Wire};
 use crate::frame::{
-    self, FrameKey, FrameSink, KIND_CONFIG, KIND_COUNTS, KIND_HALO, KIND_HELLO, KIND_PEERS,
-    KIND_PING, KIND_WRITEBACK, NO_DIR,
+    self, CommStats, FrameKey, FrameSink, KIND_CONFIG, KIND_COUNTS, KIND_HALO, KIND_HELLO,
+    KIND_PEERS, KIND_PING, KIND_WRITEBACK, NO_DIR,
 };
 use crate::worker::Worker;
 use psr_ca::pndca::ChunkSelection;
 use psr_kernel::CompiledModel;
-use psr_parallel::CommStats;
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::Path;

@@ -1,8 +1,10 @@
-//! One shard worker: a halo-padded sub-lattice, its compiled kernel, its
-//! owned propensity counts, and the phase methods of the sweep protocol.
+//! One shard worker: a halo-padded sub-lattice, its owned propensity
+//! counts (weighted selection only), and the phase methods of the sweep
+//! protocol.
 //!
-//! A worker advances by the same `(step, position, chunk)` schedule as the
-//! shared-lattice executor, but only trials anchored at sites it *owns*.
+//! A worker advances by the same `(step, position, chunk)` schedule as a
+//! sequential counter-keyed PNDCA, but only trials anchored at sites it
+//! *owns*.
 //! Per sweep it runs the phases, in order:
 //!
 //! 1. **sweep** — one trial per owned site of the chunk, interior strip
@@ -18,9 +20,9 @@
 //! 3. **halo strips** — send the now fully up-to-date owned border in all
 //!    8 directions, diff-apply the received strips into the halo ring.
 //!    After this phase every copy of every global cell agrees again.
-//! 4. **fold** — push the sweep's accumulated change journal (own writes,
-//!    applied write-backs, halo diffs) through the compiled kernel's code
-//!    tables and the owned propensity counts.
+//! 4. **fold** — under weighted selection, push the sweep's accumulated
+//!    change journal (own writes, applied write-backs, halo diffs) through
+//!    the compiled kernel's code tables and the owned propensity counts.
 //!
 //! For `WeightedByRates` chunk selection a counts exchange precedes each
 //! sweep: workers all-gather their owned per-(chunk, reaction) enabled-site
@@ -34,13 +36,13 @@ use crate::frame::{
     self, FrameSink, StepReport, KIND_COUNTS, KIND_GATHER, KIND_HALO, KIND_REPORT, KIND_WRITEBACK,
     NO_DIR,
 };
+use crate::streams::{draw_stream_id, shuffle_stream_id, trial_stream_base};
 use psr_ca::partition::Partition;
 use psr_ca::pndca::ChunkSelection;
 use psr_ca::propensity::draw_weighted;
 use psr_kernel::{CompiledModel, SiteKernel};
 use psr_lattice::{Change, Lattice, Site, SubLattice};
 use psr_model::Model;
-use psr_parallel::{draw_stream_id, shuffle_stream_id, trial_stream_base};
 use psr_rng::{AliasTable, Pcg32, StreamFactory};
 use std::sync::Arc;
 
@@ -82,12 +84,15 @@ fn border_rect(bw: u32, bh: u32, r: u32, dir: usize) -> (u32, u32, u32, u32) {
 /// Per-(chunk, reaction) enabled-site counts over this worker's owned
 /// sites: the shard-local summand of `ChunkPropensityCache`'s counts.
 ///
-/// Masks are read from the worker's [`SiteKernel`] (only *owned* anchors
-/// are ever queried — halo-cell codes may be wrap-corrupted at the padded
-/// edge and are never trusted). Summed across workers the counts equal a
-/// shared-lattice cache's, and the weight formula is the same
-/// count-times-rate loop, so weighted selection stays bit-identical.
+/// Masks are read from a [`SiteKernel`] over the padded sub-lattice (only
+/// *owned* anchors are ever queried — halo-cell codes may be
+/// wrap-corrupted at the padded edge and are never trusted). Summed across
+/// workers the counts equal a whole-lattice cache's, and the weight
+/// formula is the same count-times-rate loop, so weighted selection stays
+/// bit-identical. Only weighted selection reads the counts, so only it
+/// pays for the kernel and its per-sweep fold.
 struct OwnedCounts {
+    kernel: SiteKernel,
     rates: Vec<f64>,
     members: usize,
     /// Per padded-local site: enabled-reaction bitmask (owned sites only).
@@ -99,7 +104,13 @@ struct OwnedCounts {
 }
 
 impl OwnedCounts {
-    fn new(model: &Model, partition: &Partition, sub: &SubLattice, kernel: &SiteKernel) -> Self {
+    fn new(
+        model: &Model,
+        partition: &Partition,
+        sub: &SubLattice,
+        compiled: Arc<CompiledModel>,
+    ) -> Self {
+        let kernel = SiteKernel::new(compiled, sub.lattice());
         let members = model.num_reactions();
         let n = sub.lattice().len();
         let mut counts = vec![0u32; partition.num_chunks() * members];
@@ -122,6 +133,7 @@ impl OwnedCounts {
             }
         }
         OwnedCounts {
+            kernel,
             rates: (0..members).map(|m| model.reaction(m).rate()).collect(),
             members,
             enabled,
@@ -130,18 +142,20 @@ impl OwnedCounts {
         }
     }
 
-    /// Re-evaluate every owned anchor whose pattern can read a changed
-    /// cell. The kernel must already reflect `changes`. Idempotent per
-    /// anchor, so overlapping stencils across changes are harmless.
-    fn fold(&mut self, kernel: &SiteKernel, changes: &[Change]) {
-        let cells = kernel.compiled().cells().len();
+    /// Fold `changes` (already applied to `lattice`) into the kernel codes,
+    /// then re-evaluate every owned anchor whose pattern can read a changed
+    /// cell. Idempotent per anchor, so overlapping stencils across changes
+    /// are harmless.
+    fn fold(&mut self, lattice: &Lattice, changes: &[Change]) {
+        self.kernel.apply_changes(lattice, changes);
+        let cells = self.kernel.compiled().cells().len();
         for &(site, _, _) in changes {
             for j in 0..cells {
-                let anchor = kernel.anchor(site, j);
+                let anchor = self.kernel.anchor(site, j);
                 if self.chunk_of[anchor.0 as usize] == u32::MAX {
                     continue;
                 }
-                self.store_mask(anchor, kernel.enabled_mask(anchor));
+                self.store_mask(anchor, self.kernel.enabled_mask(anchor));
             }
         }
     }
@@ -181,7 +195,6 @@ pub(crate) struct Worker<'m> {
     model: &'m Model,
     grid: ShardGrid,
     sub: SubLattice,
-    kernel: SiteKernel,
     alias: AliasTable,
     factory: StreamFactory,
     selection: ChunkSelection,
@@ -221,7 +234,6 @@ impl<'m> Worker<'m> {
         let radius = model.interaction_radius();
         let (x0, y0, bw, bh) = grid.domain_of(dims, id);
         let sub = SubLattice::scatter(global, x0, y0, bw, bh, radius);
-        let kernel = SiteKernel::new(compiled, sub.lattice());
         let m = partition.num_chunks();
         let mut chunk_interior = vec![Vec::new(); m];
         let mut chunk_boundary = vec![Vec::new(); m];
@@ -243,7 +255,7 @@ impl<'m> Worker<'m> {
             }
         }
         let counts = (selection == ChunkSelection::WeightedByRates)
-            .then(|| OwnedCounts::new(model, partition, &sub, &kernel));
+            .then(|| OwnedCounts::new(model, partition, &sub, compiled));
         let counts_len = counts.as_ref().map_or(0, |c| c.counts.len());
         let species = model.species().len();
         let reactions = model.num_reactions();
@@ -252,7 +264,6 @@ impl<'m> Worker<'m> {
             model,
             grid,
             sub,
-            kernel,
             alias: AliasTable::new(&model.rate_weights()),
             factory: StreamFactory::new(seed),
             selection,
@@ -529,16 +540,13 @@ impl<'m> Worker<'m> {
         }
     }
 
-    /// Phase 4: fold the sweep's change journal into the kernel codes and
-    /// the owned propensity counts. After this the worker is ready for the
-    /// next draw/sweep.
+    /// Phase 4: fold the sweep's change journal into the owned propensity
+    /// counts (weighted selection only). After this the worker is ready for
+    /// the next draw/sweep.
     pub(crate) fn fold(&mut self) {
-        let changes = std::mem::take(&mut self.journal);
-        self.kernel.apply_changes(self.sub.lattice(), &changes);
         if let Some(counts) = &mut self.counts {
-            counts.fold(&self.kernel, &changes);
+            counts.fold(self.sub.lattice(), &self.journal);
         }
-        self.journal = changes;
         self.journal.clear();
     }
 

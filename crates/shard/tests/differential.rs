@@ -1,21 +1,51 @@
 //! The determinism contract of the sharded executor, pinned differentially:
 //! on the same `(seed, partition)`, sharding the lattice over any worker
-//! grid — with either scheduler — produces the *bit-identical* trajectory
-//! of the shared-lattice `ParallelPndca`.
+//! grid — with any scheduler — produces the *bit-identical* trajectory of
+//! a sequential counter-keyed PNDCA, written out below as the oracle.
 
 use proptest::prelude::*;
 use psr_ca::partition_builder::{five_coloring, greedy_coloring, seven_coloring};
 use psr_ca::pndca::ChunkSelection;
+use psr_ca::propensity::draw_weighted;
 use psr_ca::Partition;
 use psr_dmc::sim::SimState;
 use psr_lattice::{Dims, Lattice, Site};
 use psr_model::library::zgb::zgb_ziff;
-use psr_model::{Model, ModelBuilder};
-use psr_parallel::ParallelPndca;
+use psr_model::{Model, ModelBuilder, ReactionType};
+use psr_rng::{AliasTable, StreamFactory};
 use psr_shard::{ScheduleMode, ShardGrid, ShardedPndca, Wire};
 
-/// Run the shared-lattice reference executor.
-fn run_shared(
+fn enabled(rt: &ReactionType, lattice: &Lattice, site: Site) -> bool {
+    let dims = lattice.dims();
+    rt.transforms()
+        .iter()
+        .all(|t| lattice.get(dims.translate(site, t.offset)) == t.src.id())
+}
+
+/// Per-chunk weight `Σ_m (enabled anchors of reaction m) · k_m`, summed in
+/// reaction order, by a full scan of the lattice.
+fn chunk_weights(model: &Model, partition: &Partition, lattice: &Lattice) -> Vec<f64> {
+    (0..partition.num_chunks())
+        .map(|c| {
+            let mut w = 0.0;
+            for rt in model.reactions() {
+                let sites = partition.chunk(c);
+                let count = sites.iter().filter(|&&s| enabled(rt, lattice, s)).count();
+                w += count as f64 * rt.rate();
+            }
+            w
+        })
+        .collect()
+}
+
+/// The oracle: sequential PNDCA whose every draw comes from a stream keyed
+/// by counters. Per step, the chunk schedule draws from stream
+/// `0xC000.. | step` (with-replacement and weighted) or `0x8000.. | step`
+/// (shuffle); the trial at `site` during sweep `pos` draws from stream
+/// `1 + (step · m + pos) · N + site`. Same-chunk neighborhoods are
+/// disjoint, so sweeping a chunk in site order *is* the simultaneous
+/// update. Returns the final state, trials and executed reactions.
+fn run_reference(
     model: &Model,
     partition: &Partition,
     lattice: &Lattice,
@@ -23,10 +53,50 @@ fn run_shared(
     seed: u64,
     steps: u64,
 ) -> (SimState, u64, u64) {
-    let mut exec = ParallelPndca::new(model, partition, 2, seed).with_selection(selection);
+    let factory = StreamFactory::new(seed);
+    let alias = AliasTable::new(&model.rate_weights());
+    let dims = lattice.dims();
+    let m = partition.num_chunks();
+    let n = partition.num_sites() as u64;
     let mut state = SimState::new(lattice.clone(), model);
-    let stats = exec.run_steps(&mut state, steps, None);
-    (state, stats.trials, stats.executed)
+    let (mut trials, mut executed) = (0, 0);
+    for step in 0..steps {
+        let mut draws = factory.stream(0xC000_0000_0000_0000 | step);
+        let order: Vec<usize> = match selection {
+            ChunkSelection::InOrder => (0..m).collect(),
+            ChunkSelection::RandomOrder => {
+                let mut order: Vec<usize> = (0..m).collect();
+                let mut rng = factory.stream(0x8000_0000_0000_0000 | step);
+                psr_rng::sample::shuffle(&mut rng, &mut order);
+                order
+            }
+            ChunkSelection::RandomWithReplacement => (0..m).map(|_| draws.index(m)).collect(),
+            ChunkSelection::WeightedByRates => Vec::new(),
+        };
+        for pos in 0..m {
+            let chunk = match order.get(pos) {
+                Some(&chunk) => chunk,
+                None => draw_weighted(&mut draws, &chunk_weights(model, partition, &state.lattice)),
+            };
+            let base = 1 + (step * m as u64 + pos as u64) * n;
+            for &site in partition.chunk(chunk) {
+                let mut rng = factory.stream(base + site.0 as u64);
+                let rt = model.reaction(alias.sample(&mut rng));
+                trials += 1;
+                if !enabled(rt, &state.lattice, site) {
+                    continue;
+                }
+                for t in rt.transforms() {
+                    let target = dims.translate(site, t.offset);
+                    let old = state.lattice.set(target, t.tgt.id());
+                    state.coverage.transition(old, t.tgt.id());
+                }
+                executed += 1;
+            }
+        }
+        state.time += 1.0 / model.total_rate();
+    }
+    (state, trials, executed)
 }
 
 /// Run the sharded executor on `grid` with the given scheduler.
@@ -77,13 +147,13 @@ const ALL_SELECTIONS: [ChunkSelection; 4] = [
 /// The headline acceptance test: a long ZGB run (1000 steps = 400k trials)
 /// on a 2×2 shard grid, for every chunk-selection strategy, both schedulers.
 #[test]
-fn zgb_1000_steps_matches_shared_lattice() {
+fn zgb_1000_steps_matches_the_reference() {
     let model = zgb_ziff(0.5, 2.0);
     let d = Dims::square(20);
     let partition = five_coloring(d);
     let lattice = Lattice::filled(d, 0);
     for selection in ALL_SELECTIONS {
-        let reference = run_shared(&model, &partition, &lattice, selection, 2024, 1000);
+        let reference = run_reference(&model, &partition, &lattice, selection, 2024, 1000);
         assert!(reference.2 > 0, "reference run executed nothing");
         for mode in [ScheduleMode::Inline, ScheduleMode::Threaded] {
             let sharded = run_sharded(
@@ -110,7 +180,7 @@ fn trajectories_invariant_of_shard_grid() {
     let partition = five_coloring(d);
     let lattice = Lattice::filled(d, 0);
     for selection in ALL_SELECTIONS {
-        let reference = run_shared(&model, &partition, &lattice, selection, 7, 60);
+        let reference = run_reference(&model, &partition, &lattice, selection, 7, 60);
         for (gx, gy) in [(1, 1), (1, 2), (2, 1), (4, 1), (2, 2), (4, 2)] {
             let sharded = run_sharded(
                 &model,
@@ -195,7 +265,7 @@ fn comm_stats_are_measured() {
 }
 
 /// A radius-0 model (single-site patterns only): empty halo strips, no
-/// write-backs, still identical to the shared executor.
+/// write-backs, still identical to the reference.
 #[test]
 fn radius_zero_model_needs_no_halo() {
     let model = ModelBuilder::new(&["*", "A"])
@@ -210,7 +280,7 @@ fn radius_zero_model_needs_no_halo() {
     let partition = greedy_coloring(d, &model);
     let lattice = Lattice::filled(d, 0);
     for selection in [ChunkSelection::InOrder, ChunkSelection::WeightedByRates] {
-        let reference = run_shared(&model, &partition, &lattice, selection, 11, 50);
+        let reference = run_reference(&model, &partition, &lattice, selection, 11, 50);
         let sharded = run_sharded(
             &model,
             &partition,
@@ -253,9 +323,9 @@ proptest! {
 
     // Random models, lattice sizes, occupancies, grids (including 1×1,
     // 1×N, N×M), selections, and seeds: the sharded trajectory always
-    // equals the shared-lattice one.
+    // equals the reference one.
     #[test]
-    fn sharded_matches_shared_on_random_runs(
+    fn sharded_matches_the_reference_on_random_runs(
         seed in 0u64..1_000_000,
         ads in 0.3f64..3.0,
         des in 0.1f64..1.0,
@@ -303,7 +373,7 @@ proptest! {
             lattice.set(Site(i as u32), (s % species).min(fill as u32) as u8);
         }
         let selection = ALL_SELECTIONS[selection_idx];
-        let reference = run_shared(&model, &partition, &lattice, selection, seed, steps);
+        let reference = run_reference(&model, &partition, &lattice, selection, seed, steps);
         let sharded = run_sharded(
             &model, &partition, &lattice, selection, seed, steps,
             ShardGrid::new(gx, gy), ScheduleMode::Inline,

@@ -8,12 +8,12 @@
 //! report payload survives its own round trip bit-for-bit.
 
 use proptest::prelude::*;
-use psr_parallel::CommStats;
 use psr_shard::frame::{
     self, decode_header, encode, encode_into, try_decode, StepReport, HEADER_LEN, KIND_CONFIG,
     KIND_COUNTS, KIND_GATHER, KIND_HALO, KIND_HELLO, KIND_PEERS, KIND_PING, KIND_REPORT,
     KIND_WRITEBACK,
 };
+use psr_shard::CommStats;
 
 const ALL_KINDS: [u8; 9] = [
     KIND_HALO,
